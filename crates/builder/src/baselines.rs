@@ -12,6 +12,8 @@
 //!   the reference implementation [14] spent over 10 000 lines of code
 //!   on more than 100 distinct windows (~100 lines per window).
 
+use std::borrow::Borrow;
+
 use geodb::Instance;
 use uilib::{Library, MapScene, MapShape, SceneMap, WidgetTree};
 
@@ -24,8 +26,9 @@ use crate::{BuildError, BuiltWindow, WindowKind};
 pub fn hardwired_class_window(
     library: &Library,
     class: &str,
-    instances: &[Instance],
+    instances: &[impl Borrow<Instance>],
 ) -> Result<BuiltWindow, BuildError> {
+    let instances = instances.iter().map(Borrow::borrow);
     let title = format!("Class: {class}");
     let mut tree = WidgetTree::new(library, "Window", "class_window")?;
     tree.get_mut(tree.root())?.set_prop("title", title.clone());
@@ -40,7 +43,7 @@ pub fn hardwired_class_window(
         w.set_prop(
             "items",
             instances
-                .iter()
+                .clone()
                 .map(|i| i.oid.to_string())
                 .collect::<Vec<_>>(),
         );

@@ -19,6 +19,7 @@
 
 pub mod baselines;
 
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -340,7 +341,7 @@ impl InterfaceBuilder {
         &self,
         schema: &str,
         class: &str,
-        instances: &[Instance],
+        instances: &[impl Borrow<Instance>],
         cust: Option<&Customization>,
     ) -> Result<BuiltWindow, BuildError> {
         let _span = obs::span("builder.class_window");
@@ -354,9 +355,10 @@ impl InterfaceBuilder {
         &self,
         _schema: &str,
         class: &str,
-        instances: &[Instance],
+        instances: &[impl Borrow<Instance>],
         cust: Option<&Customization>,
     ) -> Result<BuiltWindow, BuildError> {
+        let instances = instances.iter().map(Borrow::borrow);
         let (control, presentation) = match cust {
             Some(Customization::ClassWindow {
                 control,
@@ -386,7 +388,7 @@ impl InterfaceBuilder {
             w.set_prop(
                 "items",
                 instances
-                    .iter()
+                    .clone()
                     .map(|i| i.oid.to_string())
                     .collect::<Vec<_>>(),
             );
@@ -432,7 +434,6 @@ impl InterfaceBuilder {
             w.set_prop(
                 "items",
                 instances
-                    .iter()
                     .map(|i| format!("{} {}", i.oid, i.class))
                     .collect::<Vec<_>>(),
             );
@@ -752,6 +753,37 @@ mod tests {
         let a = b.class_window("phone_net", "Pole", &poles, None).unwrap();
         let c = b.class_window("phone_net", "Pole", &poles, None).unwrap();
         assert_eq!(a.fingerprint(), c.fingerprint());
+    }
+
+    #[test]
+    fn class_window_is_the_same_over_owned_and_shared_rows() {
+        let mut owned_db = db();
+        let snap = geodb::DbStore::new(db()).snapshot();
+        let b = InterfaceBuilder::with_paper_library();
+        let fig6 = fig6_customizations()
+            .into_iter()
+            .find(|c| matches!(c, Customization::ClassWindow { .. }))
+            .unwrap();
+        let table = Customization::ClassWindow {
+            schema: "phone_net".into(),
+            class: "Pole".into(),
+            control: None,
+            presentation: Some("tableFormat".into()),
+        };
+        for class in ["Supplier", "Pole", "Duct", "District"] {
+            let owned = owned_db.get_class("phone_net", class, false).unwrap();
+            let shared = snap.get_class("phone_net", class, false).unwrap();
+            assert_eq!(owned.len(), shared.len());
+            for cust in [None, Some(&fig6), Some(&table)] {
+                let from_owned = b.class_window("phone_net", class, &owned, cust).unwrap();
+                let from_shared = b.class_window("phone_net", class, &shared, cust).unwrap();
+                assert_eq!(
+                    from_owned.fingerprint(),
+                    from_shared.fingerprint(),
+                    "{class} window with {cust:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The database facade: catalog + extents + spatial indexes + buffer pool,
 //! with the event stream the active mechanism intercepts.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -819,11 +820,16 @@ impl Database {
 }
 
 /// The aggregation reducer shared by [`Database::aggregate`] and the
-/// versioned store's snapshot-side aggregate.
-pub(crate) fn aggregate_rows(rows: &[Instance], path: &str, agg: Aggregate) -> Result<Value> {
+/// versioned store's snapshot-side aggregate (which reads the shared
+/// rows in place).
+pub(crate) fn aggregate_rows(
+    rows: &[impl Borrow<Instance>],
+    path: &str,
+    agg: Aggregate,
+) -> Result<Value> {
     let values: Vec<&Value> = rows
         .iter()
-        .map(|i| i.get_path(path))
+        .map(|i| i.borrow().get_path(path))
         .filter(|v| !matches!(v, Value::Null))
         .collect();
     match agg {

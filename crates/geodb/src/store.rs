@@ -10,7 +10,11 @@
 //!   `Arc` per class so a write clones only the touched class, never the
 //!   world. All query primitives (`get_schema` / `get_class` /
 //!   `get_value` / `select` / `aggregate` / `nearest` / `window_query`)
-//!   run against it without locks or `&mut`.
+//!   run against it without locks or `&mut`, and the row-returning ones
+//!   hand out the partition's own `Arc<Instance>` rows rather than
+//!   copies. That is safe because a row is never mutated once
+//!   published: a commit replaces an updated row's `Arc` in a copy of
+//!   its partition, so rows held from epoch N stay as they were.
 //! * [`DbStore`] — the shared handle: a serialized writer (the one
 //!   mutable [`Database`] lives inside it) that watches the database's
 //!   own event stream through a subscription, rebuilds exactly the
@@ -180,6 +184,17 @@ impl ClassPartition {
         self.instances.get(&oid)
     }
 
+    /// A row the partition's order or index names; both are kept in step
+    /// with `instances`, so a miss is a broken invariant.
+    fn row(&self, oid: Oid) -> &Arc<Instance> {
+        self.get(oid).expect("indexed oid present")
+    }
+
+    /// The extent's rows in insertion order, borrowed in place.
+    fn rows(&self) -> impl Iterator<Item = &Arc<Instance>> {
+        self.order.iter().map(|oid| self.row(*oid))
+    }
+
     fn len(&self) -> usize {
         self.instances.len()
     }
@@ -187,10 +202,7 @@ impl ClassPartition {
     /// The extent's instances in insertion order (delta shipping
     /// serializes a touched partition wholesale).
     pub(crate) fn instances_ordered(&self) -> Vec<Instance> {
-        self.order
-            .iter()
-            .map(|oid| (**self.instances.get(oid).expect("ordered oid present")).clone())
-            .collect()
+        self.rows().map(|i| (**i).clone()).collect()
     }
 
     /// The extent's OIDs in insertion order.
@@ -278,7 +290,7 @@ struct SnapshotResolver<'a> {
 
 impl RefResolver for SnapshotResolver<'_> {
     fn resolve(&mut self, oid: Oid) -> Result<Instance> {
-        self.snap.peek(oid)
+        self.snap.peek(oid).map(|i| (*i).clone())
     }
 }
 
@@ -364,7 +376,7 @@ impl DbSnapshot {
         schema: &str,
         class: &str,
         with_subclasses: bool,
-    ) -> Result<Vec<Instance>> {
+    ) -> Result<Vec<Arc<Instance>>> {
         let _span = obs::span("geodb.get_class");
         query_failpoint()?;
         self.catalog.class(schema, class)?;
@@ -381,9 +393,7 @@ impl DbSnapshot {
         let mut out = Vec::new();
         for c in &classes {
             if let Some(part) = self.partitions.get(&(schema.to_string(), c.clone())) {
-                for oid in &part.order {
-                    out.push((**part.get(*oid).expect("ordered oid present")).clone());
-                }
+                out.extend(part.rows().cloned());
             }
         }
         if obs::enabled() {
@@ -394,7 +404,7 @@ impl DbSnapshot {
     }
 
     /// `Get_Value` primitive: fetch one instance.
-    pub fn get_value(&self, oid: Oid) -> Result<Instance> {
+    pub fn get_value(&self, oid: Oid) -> Result<Arc<Instance>> {
         let _span = obs::span("geodb.get_value");
         query_failpoint()?;
         let inst = self.peek(oid)?;
@@ -406,15 +416,13 @@ impl DbSnapshot {
     }
 
     /// Fetch without counters (internal plumbing, rendering).
-    pub fn peek(&self, oid: Oid) -> Result<Instance> {
+    pub fn peek(&self, oid: Oid) -> Result<Arc<Instance>> {
         let (schema, class) = self.locator.get(oid).ok_or(GeoDbError::UnknownOid(oid.0))?;
         let part = self
             .partitions
             .get(&(schema.to_string(), class.to_string()))
             .ok_or(GeoDbError::UnknownOid(oid.0))?;
-        part.get(oid)
-            .map(|i| (**i).clone())
-            .ok_or(GeoDbError::UnknownOid(oid.0))
+        part.get(oid).cloned().ok_or(GeoDbError::UnknownOid(oid.0))
     }
 
     /// Selection with optional spatial-index acceleration; returns the
@@ -424,27 +432,29 @@ impl DbSnapshot {
         schema: &str,
         class: &str,
         pred: &Predicate,
-    ) -> Result<(Vec<Instance>, QueryStats)> {
+    ) -> Result<(Vec<Arc<Instance>>, QueryStats)> {
         let _span = obs::span("geodb.select");
         query_failpoint()?;
         self.catalog.class(schema, class)?;
         let part = self.partition(schema, class)?;
         let window = pred.index_window();
-        let (candidates, index_used): (Vec<Oid>, bool) = match (&part.spatial, &window) {
+        // The index's hits, or the whole extent scanned in place.
+        let indexed = match (&part.spatial, &window) {
             (Some(idx), Some((attr, rect))) if Some(attr.as_str()) == part.geom_attr.as_deref() => {
-                (idx.query_rect(rect), true)
+                Some(idx.query_rect(rect))
             }
-            _ => (part.order.clone(), false),
+            _ => None,
         };
-        let n_candidates = candidates.len();
-        let mut out = Vec::new();
-        for oid in candidates {
-            let inst = part.get(oid).expect("candidate oid present");
-            if pred.eval(inst) {
-                out.push((**inst).clone());
-            }
-        }
+        let candidates = indexed.as_deref().unwrap_or(&part.order);
+        let mut out: Vec<Arc<Instance>> = candidates
+            .iter()
+            .map(|oid| part.row(*oid))
+            .filter(|inst| pred.eval(inst))
+            .cloned()
+            .collect();
         out.sort_by_key(|i| i.oid);
+        let n_candidates = candidates.len();
+        let index_used = indexed.is_some();
         let stats = QueryStats {
             candidates: n_candidates,
             returned: out.len(),
@@ -466,7 +476,12 @@ impl DbSnapshot {
     }
 
     /// Selection without the stats.
-    pub fn select(&self, schema: &str, class: &str, pred: &Predicate) -> Result<Vec<Instance>> {
+    pub fn select(
+        &self,
+        schema: &str,
+        class: &str,
+        pred: &Predicate,
+    ) -> Result<Vec<Arc<Instance>>> {
         self.select_with_stats(schema, class, pred).map(|(r, _)| r)
     }
 
@@ -484,21 +499,28 @@ impl DbSnapshot {
     }
 
     /// k-nearest-neighbour query (exact re-rank of index candidates).
-    pub fn nearest(&self, schema: &str, class: &str, p: Point, k: usize) -> Result<Vec<Instance>> {
+    pub fn nearest(
+        &self,
+        schema: &str,
+        class: &str,
+        p: Point,
+        k: usize,
+    ) -> Result<Vec<Arc<Instance>>> {
         self.catalog.class(schema, class)?;
         let part = self.partition(schema, class)?;
-        let geom_attr = part.geom_attr.clone().ok_or_else(|| {
+        let geom_attr = part.geom_attr.as_deref().ok_or_else(|| {
             GeoDbError::InvalidQuery(format!("class `{class}` has no geometry attribute"))
         })?;
-        let candidates: Vec<Oid> = match &part.spatial {
-            Some(idx) => idx.nearest(&p, (2 * k).max(8)),
-            None => part.order.clone(),
-        };
-        let mut ranked: Vec<(f64, Instance)> = Vec::with_capacity(candidates.len());
+        let indexed = part
+            .spatial
+            .as_ref()
+            .map(|idx| idx.nearest(&p, (2 * k).max(8)));
+        let candidates = indexed.as_deref().unwrap_or(&part.order);
+        let mut ranked: Vec<(f64, Arc<Instance>)> = Vec::with_capacity(candidates.len());
         for oid in candidates {
-            let inst = part.get(oid).expect("candidate oid present");
-            if let Some(g) = inst.get(&geom_attr).as_geometry() {
-                ranked.push((g.distance_to_point(&p), (**inst).clone()));
+            let inst = part.row(*oid);
+            if let Some(g) = inst.get(geom_attr).as_geometry() {
+                ranked.push((g.distance_to_point(&p), Arc::clone(inst)));
             }
         }
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -507,7 +529,12 @@ impl DbSnapshot {
     }
 
     /// Spatial window shortcut: everything intersecting `rect`.
-    pub fn window_query(&self, schema: &str, class: &str, rect: Rect) -> Result<Vec<Instance>> {
+    pub fn window_query(
+        &self,
+        schema: &str,
+        class: &str,
+        rect: Rect,
+    ) -> Result<Vec<Arc<Instance>>> {
         let part = self.partition(schema, class)?;
         let attr = part.geom_attr.clone().ok_or_else(|| {
             GeoDbError::InvalidQuery(format!("class `{class}` has no geometry attribute"))
@@ -1721,6 +1748,45 @@ mod tests {
         let after = reader.pin();
         assert_eq!(after.epoch(), 2);
         assert_eq!(after.peek(oid).unwrap().get("height"), &Value::Float(99.0));
+    }
+
+    #[test]
+    fn shared_rows_keep_snapshot_isolation_across_a_commit() {
+        let store = DbStore::new(sample_db());
+        let at_n = store.snapshot();
+        let rows_n = at_n.get_class("net", "Pole", false).unwrap();
+        let values_n: Vec<Instance> = rows_n.iter().map(|r| (**r).clone()).collect();
+        let target = rows_n[2].oid;
+
+        // Two reads at one epoch hand out the very same rows.
+        let again = at_n.get_class("net", "Pole", false).unwrap();
+        assert!(rows_n.iter().zip(&again).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert!(Arc::ptr_eq(&at_n.get_value(target).unwrap(), &rows_n[2]));
+
+        store
+            .write(|db| db.update(target, vec![("height".into(), Value::Float(77.0))]))
+            .unwrap();
+        let at_n1 = store.snapshot();
+        assert_eq!(at_n1.epoch(), at_n.epoch() + 1);
+
+        // Rows held from epoch N read back unchanged after N+1 commits.
+        let held: Vec<Instance> = rows_n.iter().map(|r| (**r).clone()).collect();
+        assert_eq!(held, values_n);
+        assert_eq!(at_n.peek(target).unwrap().get("height"), &Value::Float(7.0));
+
+        let rows_n1 = at_n1.get_class("net", "Pole", false).unwrap();
+        assert_eq!(rows_n1.len(), rows_n.len());
+        for (old, new) in rows_n.iter().zip(&rows_n1) {
+            assert_eq!(old.oid, new.oid);
+            if old.oid == target {
+                // The commit replaced the updated row's Arc ...
+                assert!(!Arc::ptr_eq(old, new), "updated row is a new Arc");
+                assert_eq!(new.get("height"), &Value::Float(77.0));
+            } else {
+                // ... and shares every untouched one with epoch N.
+                assert!(Arc::ptr_eq(old, new), "untouched row {} is shared", old.oid);
+            }
+        }
     }
 
     #[test]

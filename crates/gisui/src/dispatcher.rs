@@ -944,6 +944,9 @@ impl Dispatcher {
             .collect();
 
         let snap = self.snapshot();
+        // Every Class-set target shows the same extent at the same
+        // epoch: read it once, on the first one.
+        let mut extent = None;
         let mut refreshed = Vec::with_capacity(targets.len());
         for (id, session, kind, win_oid) in targets {
             let ctx = self
@@ -953,7 +956,10 @@ impl Dispatcher {
                 .unwrap_or_default();
             let built = match kind {
                 WindowKind::ClassSet => {
-                    let instances = snap.get_class(schema, class, false)?;
+                    let instances = match &extent {
+                        Some(rows) => rows,
+                        None => &*extent.insert(snap.get_class(schema, class, false)?),
+                    };
                     let cust = self.dispatch_events(
                         &ctx,
                         vec![DbEvent::GetClass {
@@ -962,7 +968,7 @@ impl Dispatcher {
                         }],
                     )?;
                     self.build_degradable("class_window", cust.as_ref(), |d, c| {
-                        d.builder.class_window(schema, class, &instances, c)
+                        d.builder.class_window(schema, class, instances, c)
                     })?
                 }
                 WindowKind::Instance => {

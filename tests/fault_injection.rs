@@ -572,6 +572,32 @@ fn transactional_dispatch_after_rule_fault_matches_fresh_engine() {
     assert_eq!(render(&wa), render(&wb));
 }
 
+#[test]
+fn refresh_reads_a_shared_class_extent_once() {
+    // Every open Class-set window of one class shows the same extent at
+    // the refresh's epoch, so a refresh reads it once: with the second
+    // `geodb.query` hit armed to fail, refreshing three windows of three
+    // sessions still succeeds.
+    let _g = serialized();
+    let (mut d, _oids) = fault_dispatcher();
+    let mut windows = Vec::new();
+    for user in ["juliano", "claudia", "geraldo"] {
+        let sid = d.open_session(SessionContext::new(user, "planner", "pole_manager"));
+        windows.push(d.open_class(sid, "phone_net", "Pole", None).unwrap());
+    }
+    faultsim::arm(
+        "geodb.query",
+        faultsim::Trigger::Nth(2),
+        faultsim::FaultAction::Error,
+    );
+    let refreshed = d.refresh_windows("phone_net", "Pole", None);
+    faultsim::reset();
+    let mut refreshed = refreshed.expect("one extent read serves every window");
+    refreshed.sort();
+    windows.sort();
+    assert_eq!(refreshed, windows);
+}
+
 /// CI sweep entry point: a fixed seeded probabilistic schedule across
 /// every failpoint, seed taken from `FAULT_SEED` (default 1). The CI
 /// workflow runs this under three fixed seeds.
