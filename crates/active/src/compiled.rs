@@ -1,19 +1,19 @@
-//! The compiled dispatch tier: per-epoch flat decision tables.
+//! The compiled dispatch tier: per-epoch flat decision tables, the
+//! engine's production dispatch path.
 //!
-//! The discrimination index (see `engine.rs`) made *cache-hot* dispatch
-//! cheap, but a cold dispatch still interprets every candidate: string
-//! compares for schema/class/name, `Option` walks for the context
-//! pattern, and a full `max_by_key` specificity resolution per event.
-//! [`compile`] removes all of that from the hot path by lowering a
-//! published rule snapshot — once per content generation, off the
-//! dispatch path — into [`CompiledRules`]:
+//! Interpreting a rule against an event costs string compares for
+//! schema/class/name, `Option` walks for the context pattern, and a
+//! full `max_by_key` specificity resolution per event. [`compile`]
+//! removes all of that from the hot path by lowering a published rule
+//! snapshot — once per content generation, off the dispatch path —
+//! into [`CompiledRules`]:
 //!
 //! * **Dense jump tables.** One [`CompiledTable`] per `DbEventKind`
 //!   (a 7-slot array — no hash lookup for database events), plus one per
 //!   interface gesture name and external event name, plus fallback
 //!   tables for names no rule mentions. Each table is the *pre-merged*
-//!   union of the keyed, any-of-kind and wildcard buckets, so dispatch
-//!   walks exactly one flat vector with no run-merging.
+//!   union of the rules keyed on that event, the any-of-kind rules and
+//!   the wildcard rules, so dispatch walks exactly one flat vector.
 //! * **Interning.** Every string a pattern can test — users, categories,
 //!   applications, schemas, classes — is interned to a small integer at
 //!   compile time. The rule's context condition collapses to one masked

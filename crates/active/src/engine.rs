@@ -10,23 +10,19 @@
 //!
 //! Dispatch runs one of two strategies (see [`DispatchStrategy`]):
 //!
-//! * **Indexed** (the default): a discrimination index buckets rule
-//!   indices by event-pattern discriminant (per [`DbEventKind`],
-//!   interface/external by name, wildcard), so matching consults only the
-//!   buckets that can possibly match; a winner cache keyed on
-//!   `(event discriminant, user, category, application)` turns repeat
-//!   interactions — the same user clicking through the same windows,
-//!   paper Figs. 4–7 — into a hash lookup. Below
-//!   [`EngineConfig::hybrid_linear_threshold`] rules the index is skipped
-//!   and matching scans the rule vector directly (the index only pays
-//!   for itself once there is something to prune), but the winner cache
-//!   stays on. The cache is bounded
+//! * **Compiled** (the default, and the only production path): each
+//!   published rule snapshot is lowered once into flat per-event-kind
+//!   jump tables with interned, packed contexts (the `compiled` module).
+//!   A winner cache keyed on the interned `(event discriminant, packed
+//!   context)` pair turns repeat interactions — the same user clicking
+//!   through the same windows, paper Figs. 4–7 — into one hash probe on
+//!   two integers. The cache is bounded
 //!   ([`EngineConfig::winner_cache_capacity`], two-segment generational
 //!   eviction), invalidated by the rule-base epoch on any rule mutation,
 //!   and bypassed entirely while any enabled customization rule carries
 //!   a guard or extension dimensions (those must re-evaluate every time).
-//! * **Linear**: the original scan over every registered rule, kept as
-//!   the differential-testing oracle.
+//! * **Linear**: the original scan over every registered rule, with no
+//!   cache — kept as the differential-testing oracle.
 //!
 //! Both strategies produce identical [`Outcome`]s; `tests` and the
 //! `dispatch_differential` property suite enforce this.
@@ -35,7 +31,7 @@
 //!
 //! Since the concurrent-serving work (`docs/scaling.md`) the engine is a
 //! *session handle* over a shared, immutable [`RuleBase`]. Rule data
-//! (rules, interned names, discrimination index) lives in a
+//! (rules, interned names, health cells) lives in a
 //! generation-tagged snapshot published copy-on-write behind
 //! `Mutex<Arc<RuleSnapshot>>` plus an atomic epoch. Readers keep a cached
 //! `Arc` to the snapshot and re-check the epoch with one atomic load per
@@ -47,17 +43,13 @@
 //! dispatch fully in parallel. Fault health lives in shared atomic cells
 //! so quarantine decisions are global and exactly counted.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use geodb::query::DbEventKind;
-
 use crate::compiled::{compile, patch, CompileStats, CompiledRules, Delta, EventIds, RuleLite};
 use crate::context::SessionContext;
-use crate::event::{Event, EventPattern};
+use crate::event::Event;
 use crate::rule::{Action, Coupling, Rule, RuleGroup};
 use crate::trace::{Trace, TraceEntry};
 
@@ -73,22 +65,16 @@ pub enum SelectionPolicy {
 /// How dispatch finds the matching rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchStrategy {
-    /// Discrimination index + winner cache (the default). Small rule
-    /// populations (≤ [`EngineConfig::hybrid_linear_threshold`]) are
-    /// scanned directly instead of through the index — the hybrid that
-    /// keeps cold dispatch no slower than [`DispatchStrategy::Linear`].
-    #[default]
-    Indexed,
-    /// Scan every registered rule — the differential-testing oracle.
-    Linear,
     /// Flat decision tables compiled once per published snapshot
     /// generation (see the `compiled` module): dense per-kind jump
-    /// tables, interned contexts packed into a `u64` cache key, and
-    /// pre-resolved specificity order so a cold most-specific dispatch
-    /// stops at the first matching candidate. Falls back to the direct
-    /// scan below [`EngineConfig::hybrid_linear_threshold`] like
-    /// [`DispatchStrategy::Indexed`] does.
+    /// tables, interned contexts packed into a `u64` winner-cache key,
+    /// and pre-resolved specificity order so a cold most-specific
+    /// dispatch stops at the first matching candidate. The default.
+    #[default]
     Compiled,
+    /// Scan every registered rule, uncached — the differential-testing
+    /// oracle.
+    Linear,
 }
 
 /// What the engine does when a rule's action faults (panics or trips an
@@ -124,11 +110,6 @@ pub struct EngineConfig {
     /// skipped by matching until [`Engine::clear_quarantine`]). `0`
     /// disables quarantining.
     pub quarantine_threshold: u32,
-    /// Rule populations at or below this size are matched by scanning
-    /// the rule vector directly under [`DispatchStrategy::Indexed`]
-    /// (the winner cache stays active). `0` forces the discrimination
-    /// index for every population size.
-    pub hybrid_linear_threshold: usize,
     /// Winner-cache entries retained before generational eviction kicks
     /// in (see [`CacheStats::evictions`]).
     pub winner_cache_capacity: usize,
@@ -138,12 +119,11 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             selection: SelectionPolicy::MostSpecific,
-            strategy: DispatchStrategy::Indexed,
+            strategy: DispatchStrategy::Compiled,
             max_cascade_depth: 16,
             tracing: true,
             fault_policy: FaultPolicy::FailOpen,
             quarantine_threshold: 3,
-            hybrid_linear_threshold: 16,
             winner_cache_capacity: 8192,
         }
     }
@@ -313,173 +293,6 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-// ---------------------------------------------------------------------------
-// Discrimination index
-// ---------------------------------------------------------------------------
-
-/// Rule indices bucketed by event-pattern discriminant. An event only
-/// consults the buckets that can possibly match it, so wildcard-free rule
-/// populations dispatch in time proportional to the matching candidates,
-/// not the rule count.
-#[derive(Debug, Default, Clone)]
-struct Buckets {
-    db_by_kind: HashMap<DbEventKind, Vec<usize>>,
-    /// `Db` patterns with `kind: None` — match any database event.
-    db_any: Vec<usize>,
-    iface_by_name: HashMap<String, Vec<usize>>,
-    /// `Interface` patterns with `name: None` (e.g. source-prefix only).
-    iface_any: Vec<usize>,
-    ext_by_name: HashMap<String, Vec<usize>>,
-    ext_any: Vec<usize>,
-    /// `EventPattern::Any` — consulted for every event.
-    wildcard: Vec<usize>,
-}
-
-/// Visit the union of up to three ascending, disjoint index runs in
-/// ascending order — the allocation-free replacement for the old
-/// collect-into-scratch-then-sort candidate path, which dominated
-/// cold-dispatch cost (`BENCH_dispatch.json` regression).
-fn merge_runs(a: &[usize], b: &[usize], c: &[usize], f: &mut impl FnMut(usize)) {
-    // Overwhelmingly common: at most one run is non-empty.
-    match (a.is_empty(), b.is_empty(), c.is_empty()) {
-        (false, true, true) => return a.iter().for_each(|&i| f(i)),
-        (true, false, true) => return b.iter().for_each(|&i| f(i)),
-        (true, true, false) => return c.iter().for_each(|&i| f(i)),
-        (true, true, true) => return,
-        _ => {}
-    }
-    let (mut ia, mut ib, mut ic) = (0, 0, 0);
-    loop {
-        let na = a.get(ia).copied().unwrap_or(usize::MAX);
-        let nb = b.get(ib).copied().unwrap_or(usize::MAX);
-        let nc = c.get(ic).copied().unwrap_or(usize::MAX);
-        let m = na.min(nb).min(nc);
-        if m == usize::MAX {
-            return;
-        }
-        if m == na {
-            ia += 1;
-        } else if m == nb {
-            ib += 1;
-        } else {
-            ic += 1;
-        }
-        f(m);
-    }
-}
-
-impl Buckets {
-    fn insert(&mut self, idx: usize, pattern: &EventPattern) {
-        match pattern {
-            EventPattern::Any => self.wildcard.push(idx),
-            EventPattern::Db { kind: Some(k), .. } => {
-                self.db_by_kind.entry(*k).or_default().push(idx)
-            }
-            EventPattern::Db { kind: None, .. } => self.db_any.push(idx),
-            EventPattern::Interface { name: Some(n), .. } => {
-                self.iface_by_name.entry(n.clone()).or_default().push(idx)
-            }
-            EventPattern::Interface { name: None, .. } => self.iface_any.push(idx),
-            EventPattern::External { name: Some(n) } => {
-                self.ext_by_name.entry(n.clone()).or_default().push(idx)
-            }
-            EventPattern::External { name: None } => self.ext_any.push(idx),
-        }
-    }
-
-    /// Visit every candidate index for `event` in ascending registration
-    /// order (the order the linear scan uses), without allocating.
-    fn for_each_candidate(&self, event: &Event, f: &mut impl FnMut(usize)) {
-        let empty: &[usize] = &[];
-        let (keyed, any): (&[usize], &[usize]) = match event {
-            Event::Db(e) => (
-                self.db_by_kind.get(&e.kind()).map_or(empty, |v| v),
-                &self.db_any,
-            ),
-            Event::Interface { name, .. } => (
-                self.iface_by_name.get(name).map_or(empty, |v| v),
-                &self.iface_any,
-            ),
-            Event::External { name } => (
-                self.ext_by_name.get(name).map_or(empty, |v| v),
-                &self.ext_any,
-            ),
-        };
-        merge_runs(keyed, any, &self.wildcard, f);
-    }
-
-    fn buckets_mut(&mut self) -> impl Iterator<Item = &mut Vec<usize>> {
-        self.db_by_kind
-            .values_mut()
-            .chain(self.iface_by_name.values_mut())
-            .chain(self.ext_by_name.values_mut())
-            .chain([
-                &mut self.db_any,
-                &mut self.iface_any,
-                &mut self.ext_any,
-                &mut self.wildcard,
-            ])
-    }
-
-    /// Drop `removed` and shift every later index down by one.
-    fn remove_index(&mut self, removed: usize) {
-        for b in self.buckets_mut() {
-            b.retain_mut(|v| {
-                if *v == removed {
-                    return false;
-                }
-                if *v > removed {
-                    *v -= 1;
-                }
-                true
-            });
-        }
-    }
-
-    /// Drop a sorted batch of removed indices and remap the survivors.
-    fn remap_removed(&mut self, removed: &[usize]) {
-        for b in self.buckets_mut() {
-            b.retain_mut(|v| match removed.binary_search(v) {
-                Ok(_) => false,
-                Err(shift) => {
-                    *v -= shift;
-                    true
-                }
-            });
-        }
-    }
-}
-
-#[derive(Debug, Default, Clone)]
-struct RuleIndex {
-    cust: Buckets,
-    other: Buckets,
-    /// Enabled customization rules the winner cache cannot represent
-    /// (guard or extension-dimension conditions). While non-zero the
-    /// cache is bypassed entirely.
-    uncacheable_cust: usize,
-}
-
-impl RuleIndex {
-    fn insert(&mut self, idx: usize, group: RuleGroup, pattern: &EventPattern) {
-        if group == RuleGroup::Customization {
-            self.cust.insert(idx, pattern);
-        } else {
-            self.other.insert(idx, pattern);
-        }
-    }
-
-    fn remove_index(&mut self, removed: usize) {
-        self.cust.remove_index(removed);
-        self.other.remove_index(removed);
-    }
-
-    fn remap_removed(&mut self, removed: &[usize]) {
-        self.cust.remap_removed(removed);
-        self.other.remap_removed(removed);
-    }
-}
-
 /// A customization rule whose match cannot be keyed by the winner cache:
 /// guards see arbitrary state, and extension dimensions are outside the
 /// cache key. Such rules must re-evaluate on every dispatch.
@@ -491,114 +304,20 @@ fn rule_uncacheable<P>(r: &Rule<P>) -> bool {
 // Winner cache
 // ---------------------------------------------------------------------------
 
-/// The event fields that rule patterns can observe, owned for storage in
-/// a cache slot. Two events with equal keys match exactly the same
-/// pattern set.
-#[derive(Debug, Clone, PartialEq)]
-enum EventKey {
-    Db {
-        kind: DbEventKind,
-        schema: String,
-        class: Option<String>,
-    },
-    Interface {
-        name: String,
-        source: String,
-    },
-    External {
-        name: String,
-    },
-}
-
-impl EventKey {
-    fn of(event: &Event) -> EventKey {
-        match event {
-            Event::Db(e) => EventKey::Db {
-                kind: e.kind(),
-                schema: e.schema().to_string(),
-                class: e.class().map(str::to_string),
-            },
-            Event::Interface { name, source } => EventKey::Interface {
-                name: name.clone(),
-                source: source.clone(),
-            },
-            Event::External { name } => EventKey::External { name: name.clone() },
-        }
-    }
-
-    /// Borrow-compare against a live event (no allocation on the hit path).
-    fn matches(&self, event: &Event) -> bool {
-        match (self, event) {
-            (
-                EventKey::Db {
-                    kind,
-                    schema,
-                    class,
-                },
-                Event::Db(e),
-            ) => {
-                *kind == e.kind() && schema.as_str() == e.schema() && class.as_deref() == e.class()
-            }
-            (
-                EventKey::Interface { name, source },
-                Event::Interface {
-                    name: en,
-                    source: es,
-                },
-            ) => name == en && source == es,
-            (EventKey::External { name }, Event::External { name: en }) => name == en,
-            _ => false,
-        }
-    }
-}
-
-/// Hash of the cache key `(event discriminant, user, category,
-/// application)`, computed without allocating.
-fn cache_key_hash(event: &Event, ctx: &SessionContext) -> u64 {
-    let mut h = DefaultHasher::new();
-    match event {
-        Event::Db(e) => {
-            0u8.hash(&mut h);
-            e.kind().hash(&mut h);
-            e.schema().hash(&mut h);
-            e.class().hash(&mut h);
-        }
-        Event::Interface { name, source } => {
-            1u8.hash(&mut h);
-            name.hash(&mut h);
-            source.hash(&mut h);
-        }
-        Event::External { name } => {
-            2u8.hash(&mut h);
-            name.hash(&mut h);
-        }
-    }
-    ctx.user.hash(&mut h);
-    ctx.category.hash(&mut h);
-    ctx.application.hash(&mut h);
-    h.finish()
-}
+/// Winner-cache key: the compiled tier's interned `(event discriminant,
+/// packed context)` pair. Exact by construction while
+/// [`CompiledRules::cacheable`] holds — no slot verification, no string
+/// storage. Strings no rule pattern mentions intern to `0`, so every
+/// context no rule can tell apart shares one entry.
+type CacheKey = (u64, u64);
 
 /// A cached customization-matching result. Selection is cached in a
 /// policy-independent form: the full matched set (ascending registration
 /// order, what `FireAll` needs) plus the most-specific winner.
 #[derive(Debug)]
-struct CacheSlot {
-    event: EventKey,
-    user: String,
-    category: String,
-    application: String,
+struct WinnerSlot {
     matched_cust: Vec<usize>,
     winner: Option<usize>,
-}
-
-impl CacheSlot {
-    fn matches(&self, event: &Event, ctx: &SessionContext) -> bool {
-        self.user == ctx.user
-            && self.category == ctx.category
-            && self.application == ctx.application
-            && self.event.matches(event)
-    }
 }
 
 /// Bounded winner cache: two generational segments (`hot`, `cold`).
@@ -609,19 +328,12 @@ impl CacheSlot {
 /// `winner_cache_capacity` entries. Lookups probe `hot` then `cold`,
 /// promoting cold hits back into `hot`, so a working set that fits in
 /// capacity keeps hitting across demotions. Millions of distinct
-/// `(event, user, category, application)` contexts therefore recycle a
-/// fixed footprint instead of growing without bound.
+/// contexts therefore recycle a fixed footprint instead of growing
+/// without bound.
 #[derive(Debug, Default)]
 struct WinnerCache {
-    hot: HashMap<u64, Vec<CacheSlot>>,
-    cold: HashMap<u64, Vec<CacheSlot>>,
-    /// Packed-key segments used by the compiled tier: the key is the
-    /// interned `(event discriminant, packed context)` pair, exact by
-    /// construction — no slot verification, no string storage.
-    phot: HashMap<(u64, u64), PackedSlot>,
-    pcold: HashMap<(u64, u64), PackedSlot>,
-    hot_len: usize,
-    cold_len: usize,
+    hot: HashMap<CacheKey, WinnerSlot>,
+    cold: HashMap<CacheKey, WinnerSlot>,
     /// Rule-base epoch the contents were computed under.
     generation: u64,
     hits: u64,
@@ -632,90 +344,32 @@ struct WinnerCache {
 
 impl WinnerCache {
     fn len(&self) -> usize {
-        self.hot_len + self.cold_len
+        self.hot.len() + self.cold.len()
     }
 
     fn flush(&mut self) {
         self.hot.clear();
         self.cold.clear();
-        self.phot.clear();
-        self.pcold.clear();
-        self.hot_len = 0;
-        self.cold_len = 0;
     }
 
-    fn lookup(&mut self, hash: u64, event: &Event, ctx: &SessionContext) -> Option<&CacheSlot> {
-        let hot_pos = self
-            .hot
-            .get(&hash)
-            .and_then(|v| v.iter().position(|s| s.matches(event, ctx)));
-        if let Some(pos) = hot_pos {
-            return self.hot.get(&hash).map(|v| &v[pos]);
+    fn lookup(&mut self, key: CacheKey) -> Option<&WinnerSlot> {
+        if self.hot.contains_key(&key) {
+            return self.hot.get(&key);
         }
         // Cold hit: promote the slot into the hot segment so the live
         // working set survives the next demotion.
-        let slot = {
-            let v = self.cold.get_mut(&hash)?;
-            let pos = v.iter().position(|s| s.matches(event, ctx))?;
-            let s = v.swap_remove(pos);
-            if v.is_empty() {
-                self.cold.remove(&hash);
-            }
-            s
-        };
-        self.cold_len -= 1;
-        self.hot_len += 1;
-        let v = self.hot.entry(hash).or_default();
-        v.push(slot);
-        v.last()
+        let slot = self.cold.remove(&key)?;
+        Some(self.hot.entry(key).or_insert(slot))
     }
 
-    fn insert(&mut self, hash: u64, slot: CacheSlot, capacity: usize) {
-        self.demote_if_full(capacity);
-        self.hot.entry(hash).or_default().push(slot);
-        self.hot_len += 1;
-    }
-
-    /// Generational demotion shared by both key spaces: `hot_len` /
-    /// `cold_len` count string- and packed-keyed slots together, so one
-    /// demotion rotates both segment pairs and the configured capacity
-    /// bounds the combined footprint.
-    fn demote_if_full(&mut self, capacity: usize) {
+    fn insert(&mut self, key: CacheKey, slot: WinnerSlot, capacity: usize) {
         let segment = (capacity / 2).max(1);
-        if self.hot_len >= segment {
-            let dropped = self.cold_len;
+        if self.hot.len() >= segment {
+            self.evictions += self.cold.len() as u64;
             self.cold = std::mem::take(&mut self.hot);
-            self.pcold = std::mem::take(&mut self.phot);
-            self.cold_len = std::mem::replace(&mut self.hot_len, 0);
-            self.evictions += dropped as u64;
         }
+        self.hot.insert(key, slot);
     }
-
-    fn lookup_packed(&mut self, key: (u64, u64)) -> Option<&PackedSlot> {
-        if self.phot.contains_key(&key) {
-            return self.phot.get(&key);
-        }
-        let slot = self.pcold.remove(&key)?;
-        self.cold_len -= 1;
-        self.hot_len += 1;
-        Some(self.phot.entry(key).or_insert(slot))
-    }
-
-    fn insert_packed(&mut self, key: (u64, u64), slot: PackedSlot, capacity: usize) {
-        self.demote_if_full(capacity);
-        if self.phot.insert(key, slot).is_none() {
-            self.hot_len += 1;
-        }
-    }
-}
-
-/// A packed-key cached matching result (compiled tier): same payload as
-/// [`CacheSlot`] minus the verification strings — the interned key is
-/// collision-free while [`CompiledRules::cacheable`] holds.
-#[derive(Debug)]
-struct PackedSlot {
-    matched_cust: Vec<usize>,
-    winner: Option<usize>,
 }
 
 /// Reusable per-dispatch buffers. Private to the session handle, so the
@@ -745,7 +399,7 @@ type DeferredFiring<P> = (Arc<str>, Arc<Action<P>>, Event, SessionContext);
 type QueuedEvent = (usize, Event, Option<Arc<str>>);
 
 /// The immutable rule data a dispatch reads: rules, interned names, the
-/// name map, the discrimination index and the shared health cells.
+/// name map and the shared health cells.
 /// Published copy-on-write — a snapshot is never mutated after another
 /// session can observe it.
 struct RuleSnapshot<P> {
@@ -753,7 +407,10 @@ struct RuleSnapshot<P> {
     /// Interned rule names, parallel to `rules`; firing clones a pointer.
     names: Vec<Arc<str>>,
     by_name: HashMap<String, usize>,
-    index: RuleIndex,
+    /// Enabled customization rules the winner cache cannot represent
+    /// (guard or extension-dimension conditions). While non-zero the
+    /// cache is bypassed entirely.
+    uncacheable_cust: usize,
     /// Shared fault-health cells, parallel to `rules`. The `Arc`s
     /// survive copy-on-write clones, so every session sees the same
     /// counters.
@@ -768,7 +425,7 @@ impl<P> RuleSnapshot<P> {
             rules: Vec::new(),
             names: Vec::new(),
             by_name: HashMap::new(),
-            index: RuleIndex::default(),
+            uncacheable_cust: 0,
             health: Vec::new(),
             generation: 0,
         }
@@ -781,7 +438,7 @@ impl<P: Clone> Clone for RuleSnapshot<P> {
             rules: self.rules.clone(),
             names: self.names.clone(),
             by_name: self.by_name.clone(),
-            index: self.index.clone(),
+            uncacheable_cust: self.uncacheable_cust,
             health: self.health.clone(),
             generation: self.generation,
         }
@@ -796,9 +453,8 @@ impl<P: Clone> RuleSnapshot<P> {
         let idx = self.rules.len();
         self.by_name.insert(rule.name.clone(), idx);
         self.names.push(Arc::from(rule.name.as_str()));
-        self.index.insert(idx, rule.group, &rule.event);
         if rule_uncacheable(&rule) {
-            self.index.uncacheable_cust += 1;
+            self.uncacheable_cust += 1;
         }
         self.rules.push(rule);
         self.health.push(Arc::new(HealthCell::default()));
@@ -816,9 +472,8 @@ impl<P: Clone> RuleSnapshot<P> {
             quarantined.fetch_sub(1, Ordering::Relaxed);
         }
         if rule_uncacheable(&rule) {
-            self.index.uncacheable_cust -= 1;
+            self.uncacheable_cust -= 1;
         }
-        self.index.remove_index(idx);
         for v in self.by_name.values_mut() {
             if *v > idx {
                 *v -= 1;
@@ -836,9 +491,9 @@ impl<P: Clone> RuleSnapshot<P> {
         self.rules[idx].enabled = enabled;
         let now = rule_uncacheable(&self.rules[idx]);
         if now && !was {
-            self.index.uncacheable_cust += 1;
+            self.uncacheable_cust += 1;
         } else if was && !now {
-            self.index.uncacheable_cust -= 1;
+            self.uncacheable_cust -= 1;
         }
         Ok(())
     }
@@ -856,7 +511,7 @@ impl<P: Clone> RuleSnapshot<P> {
         }
         for &i in &removed {
             if rule_uncacheable(&self.rules[i]) {
-                self.index.uncacheable_cust -= 1;
+                self.uncacheable_cust -= 1;
             }
         }
         for &i in &removed {
@@ -881,7 +536,6 @@ impl<P: Clone> RuleSnapshot<P> {
         for v in self.by_name.values_mut() {
             *v -= removed.partition_point(|&r| r < *v);
         }
-        self.index.remap_removed(&removed);
         removed.len()
     }
 }
@@ -1241,9 +895,9 @@ impl<P: Clone> Engine<P> {
 
     pub fn set_selection(&mut self, policy: SelectionPolicy) {
         if self.config.selection != policy {
-            // Compiled-tier cache slots recorded under MostSpecific with
-            // tracing off carry only the winner (early-exit); they are
-            // not valid under FireAll. Policy changes are rare — flush.
+            // Cache slots recorded under MostSpecific with tracing off
+            // carry only the winner (early-exit); they are not valid
+            // under FireAll. Policy changes are rare — flush.
             self.state.cache.flush();
         }
         self.config.selection = policy;
@@ -1255,8 +909,8 @@ impl<P: Clone> Engine<P> {
 
     pub fn set_strategy(&mut self, strategy: DispatchStrategy) {
         if self.config.strategy != strategy {
-            // String- and packed-key slots don't carry over between
-            // strategies; start the new arm cold.
+            // The linear oracle never reads the cache: switching to it
+            // releases the slots, and switching back starts cold.
             self.state.cache.flush();
         }
         self.config.strategy = strategy;
@@ -1361,9 +1015,8 @@ impl<P: Clone> Engine<P> {
 
     /// Flush this session's winner cache because an input *outside* the
     /// rule base changed — e.g. the serving layer published a new
-    /// database epoch. Cached winners are keyed by (event, user,
-    /// category, application) and invalidated lazily on rule-generation
-    /// changes; a db-epoch change is an orthogonal axis the generation
+    /// database epoch. Cached winners are keyed by the interned (event,
+    /// context) pair and invalidated lazily on rule-generation changes; a db-epoch change is an orthogonal axis the generation
     /// cannot see, so callers invalidate explicitly through this hook.
     pub fn invalidate_winner_cache(&mut self) {
         if self.state.cache.len() > 0 {
@@ -1421,6 +1074,28 @@ impl<P: Clone> Engine<P> {
         // Re-read under the lock: mutations bump the epoch before they
         // unlock, so this value is consistent with the snapshot we took.
         self.snap_epoch = self.shared.epoch.load(Ordering::Acquire);
+    }
+
+    /// Per-dispatch preamble shared by [`Engine::dispatch`] and
+    /// [`Engine::dispatch_batch`]: refresh the snapshot (unless pinned)
+    /// and, under [`DispatchStrategy::Compiled`], the session memo of
+    /// the compiled artifact. A memo refresh happens only when the
+    /// content generation moved (or on the first dispatch); that — not
+    /// the per-event hot loop — is where compile cost lands, once per
+    /// generation per base.
+    fn prepare_dispatch(&mut self) {
+        if self.auto_sync {
+            self.sync_snapshot();
+        }
+        if self.config.strategy == DispatchStrategy::Compiled
+            && self
+                .state
+                .compiled
+                .as_ref()
+                .is_none_or(|c| c.generation != self.snap.generation)
+        {
+            self.state.compiled = Some(ensure_compiled(&self.shared, &self.snap));
+        }
     }
 
     /// Run a mutation against the published snapshot copy-on-write and
@@ -1485,7 +1160,7 @@ impl<P: Clone> Engine<P> {
     }
 
     /// Remove a rule by name. Later rules shift down one slot; the name
-    /// map and index buckets are adjusted in place (no rebuild).
+    /// map is adjusted in place (no rebuild).
     pub fn remove_rule(&mut self, name: &str) -> Result<Rule<P>, ActiveError> {
         self.try_mutate(|snap, shared| {
             let idx = snap.by_name.get(name).copied();
@@ -1584,23 +1259,7 @@ impl<P: Clone> Engine<P> {
         event: Event,
         ctx: &SessionContext,
     ) -> Result<Outcome<P>, ActiveError> {
-        if self.auto_sync {
-            self.sync_snapshot();
-        }
-        if self.config.strategy == DispatchStrategy::Compiled
-            && self.snap.rules.len() > self.config.hybrid_linear_threshold
-            && self
-                .state
-                .compiled
-                .as_ref()
-                .is_none_or(|c| c.generation != self.snap.generation)
-        {
-            // Content generation moved (or first compiled dispatch):
-            // refresh the session memo from the shared artifact cache.
-            // This — not the per-event hot loop — is where compile cost
-            // lands, once per generation per base.
-            self.state.compiled = Some(ensure_compiled(&self.shared, &self.snap));
-        }
+        self.prepare_dispatch();
         let deferred_mark = self.state.deferred.len();
         let Engine {
             shared,
@@ -1640,19 +1299,7 @@ impl<P: Clone> Engine<P> {
         ctx: &SessionContext,
     ) -> Vec<Result<Outcome<P>, ActiveError>> {
         let _span = obs::span("engine.dispatch_batch");
-        if self.auto_sync {
-            self.sync_snapshot();
-        }
-        if self.config.strategy == DispatchStrategy::Compiled
-            && self.snap.rules.len() > self.config.hybrid_linear_threshold
-            && self
-                .state
-                .compiled
-                .as_ref()
-                .is_none_or(|c| c.generation != self.snap.generation)
-        {
-            self.state.compiled = Some(ensure_compiled(&self.shared, &self.snap));
-        }
+        self.prepare_dispatch();
         let mut lane = BatchLane::default();
         let events = events.into_iter();
         let mut results = Vec::with_capacity(events.size_hint().0);
@@ -1873,7 +1520,6 @@ struct BatchTallies {
     max_cascade_depth: u64,
     arm_cached: u64,
     arm_compiled: u64,
-    arm_indexed: u64,
     arm_linear: u64,
 }
 
@@ -1885,7 +1531,6 @@ fn flush_batch_tallies(t: &BatchTallies, deferred_len: usize) {
     for (arm, n) in [
         ("cached", t.arm_cached),
         ("compiled", t.arm_compiled),
-        ("indexed", t.arm_indexed),
         ("linear", t.arm_linear),
     ] {
         if n > 0 {
@@ -1952,30 +1597,21 @@ fn dispatch_inner<P: Clone>(
     let mut m_max_depth = 0usize;
     let evictions_before = cache.evictions;
 
-    // Below the hybrid threshold neither the discrimination index nor
-    // the compiled tables can beat a straight scan of the rule vector;
-    // the winner cache stays active either way.
-    let small = snap.rules.len() <= config.hybrid_linear_threshold;
-    let scan_all = config.strategy == DispatchStrategy::Linear || small;
     // The compiled tables for this snapshot generation, when this
-    // session runs the compiled tier above the threshold. `dispatch()`
-    // refreshes the memo before calling in; a `None` here (direct
-    // `dispatch_inner` reentry after an unseen generation flip) falls
-    // back to the discrimination index for this dispatch.
-    let compiled: Option<&CompiledRules> =
-        if config.strategy == DispatchStrategy::Compiled && !small {
-            compiled_memo
-                .as_deref()
-                .filter(|c| c.generation == snap.generation)
-        } else {
-            None
-        };
+    // session runs the compiled tier (`prepare_dispatch` refreshed the
+    // memo before calling in). `None` — the linear oracle, or a memo
+    // from another generation, which would be unsound to walk — scans
+    // the rule vector and bypasses the winner cache.
+    let compiled: Option<&CompiledRules> = match config.strategy {
+        DispatchStrategy::Compiled => compiled_memo
+            .as_deref()
+            .filter(|c| c.generation == snap.generation),
+        DispatchStrategy::Linear => None,
+    };
     // The cache is only sound while every enabled customization rule
-    // is a pure function of the cache key.
-    let cache_ok = config.strategy != DispatchStrategy::Linear && snap.index.uncacheable_cust == 0;
-    // The compiled tier upgrades the cache key to the interned packed
-    // form: no hashing of strings, no slot verification on hit.
-    let packed_ok = cache_ok && compiled.is_some_and(|c| c.cacheable);
+    // is a pure function of the packed key, and the key itself is
+    // collision-free.
+    let cache_ok = snap.uncacheable_cust == 0 && compiled.is_some_and(|c| c.cacheable);
     // The context is fixed across a batch, so the lane packs it once.
     let ctx_packed = if let Some(l) = lane.as_deref_mut() {
         *l.ctx_packed
@@ -2081,15 +1717,14 @@ fn dispatch_inner<P: Clone>(
         // matching for this event; the winner itself may be `None`
         // (negative results are cached too).
         let mut cached_winner: Option<Option<usize>> = None;
-        let mut hash = None;
-        let mut pkey: Option<(u64, u64)> = None;
-
-        if packed_ok {
-            let key = (
-                routed.as_ref().expect("packed_ok implies routed").1.key,
+        let pkey: Option<CacheKey> = cache_ok.then(|| {
+            (
+                routed.as_ref().expect("cache_ok implies routed").1.key,
                 ctx_packed,
-            );
-            pkey = Some(key);
+            )
+        });
+
+        if let Some(key) = pkey {
             // Lane selection memo: exactly a packed-cache slot for the
             // memoized route, minus the probe. Sound under the same
             // invariant — the epoch check invalidates it whenever
@@ -2106,7 +1741,7 @@ fn dispatch_inner<P: Clone>(
                 }
             }
             if cached_winner.is_none() {
-                if let Some(slot) = cache.lookup_packed(key) {
+                if let Some(slot) = cache.lookup(key) {
                     s.matched_cust.extend_from_slice(&slot.matched_cust);
                     cached_winner = Some(slot.winner);
                     m_hits += 1;
@@ -2119,16 +1754,6 @@ fn dispatch_inner<P: Clone>(
                 } else {
                     m_misses += 1;
                 }
-            }
-        } else if cache_ok {
-            let h = cache_key_hash(&event, ctx);
-            hash = Some(h);
-            if let Some(slot) = cache.lookup(h, &event, ctx) {
-                s.matched_cust.extend_from_slice(&slot.matched_cust);
-                cached_winner = Some(slot.winner);
-                m_hits += 1;
-            } else {
-                m_misses += 1;
             }
         }
         if let Some((table, ids)) = &routed {
@@ -2176,14 +1801,10 @@ fn dispatch_inner<P: Clone>(
                     s.matched_other.push(i);
                 }
             }
-        } else if scan_all {
+        } else {
             m_considered += snap.rules.len() as u64;
-            let cust_cached = cached_winner.is_some();
             for (i, r) in snap.rules.iter().enumerate() {
-                if (cust_cached && r.group == RuleGroup::Customization)
-                    || snap.health[i].is_quarantined()
-                    || !r.matches(&event, ctx)
-                {
+                if snap.health[i].is_quarantined() || !r.matches(&event, ctx) {
                     continue;
                 }
                 if r.group == RuleGroup::Customization {
@@ -2192,23 +1813,6 @@ fn dispatch_inner<P: Clone>(
                     s.matched_other.push(i);
                 }
             }
-        } else {
-            if cached_winner.is_none() {
-                let matched_cust = &mut s.matched_cust;
-                snap.index.cust.for_each_candidate(&event, &mut |i| {
-                    m_considered += 1;
-                    if !snap.health[i].is_quarantined() && snap.rules[i].matches(&event, ctx) {
-                        matched_cust.push(i);
-                    }
-                });
-            }
-            let matched_other = &mut s.matched_other;
-            snap.index.other.for_each_candidate(&event, &mut |i| {
-                m_considered += 1;
-                if !snap.health[i].is_quarantined() && snap.rules[i].matches(&event, ctx) {
-                    matched_other.push(i);
-                }
-            });
         }
 
         // Customization selection: specificity, then designer
@@ -2223,9 +1827,9 @@ fn dispatch_inner<P: Clone>(
                     (r.specificity(), r.priority, i)
                 });
                 if let Some(key) = pkey {
-                    cache.insert_packed(
+                    cache.insert(
                         key,
-                        PackedSlot {
+                        WinnerSlot {
                             matched_cust: s.matched_cust.clone(),
                             winner: w,
                         },
@@ -2237,19 +1841,6 @@ fn dispatch_inner<P: Clone>(
                             l.epoch = *snap_epoch;
                         }
                     }
-                } else if let Some(h) = hash {
-                    cache.insert(
-                        h,
-                        CacheSlot {
-                            event: EventKey::of(&event),
-                            user: ctx.user.clone(),
-                            category: ctx.category.clone(),
-                            application: ctx.application.clone(),
-                            matched_cust: s.matched_cust.clone(),
-                            winner: w,
-                        },
-                        config.winner_cache_capacity,
-                    );
                 }
                 w
             }
@@ -2358,17 +1949,14 @@ fn dispatch_inner<P: Clone>(
 
     cache.hits += m_hits;
     cache.misses += m_misses;
-    // Which dispatch arm answered this request: the winner cache,
-    // the compiled tables, the discrimination index, or the
-    // straight linear scan.
+    // Which dispatch arm answered this request: the winner cache, the
+    // compiled tables, or the linear scan.
     let arm = if cache_ok && m_hits > 0 && m_misses == 0 {
         "cached"
     } else if compiled.is_some() {
         "compiled"
-    } else if scan_all {
-        "linear"
     } else {
-        "indexed"
+        "linear"
     };
     if let Some(l) = lane {
         // Batched: accumulate into the lane and flush once per batch.
@@ -2385,8 +1973,7 @@ fn dispatch_inner<P: Clone>(
         match arm {
             "cached" => t.arm_cached += 1,
             "compiled" => t.arm_compiled += 1,
-            "linear" => t.arm_linear += 1,
-            _ => t.arm_indexed += 1,
+            _ => t.arm_linear += 1,
         }
     } else if obs::enabled() {
         let shard = obs::current_shard().to_string();
@@ -2471,7 +2058,9 @@ fn run_action<P: Clone>(
 mod tests {
     use super::*;
     use crate::context::ContextPattern;
+    use crate::event::EventPattern;
     use geodb::query::DbEvent;
+    use geodb::query::DbEventKind;
 
     fn get_schema() -> Event {
         Event::Db(DbEvent::GetSchema {
@@ -2783,10 +2372,17 @@ mod tests {
             ..Default::default()
         });
         eng.add_rule(cust("a", ContextPattern::any(), "a")).unwrap();
+        // A rule naming each user, so every user interns to its own
+        // packed key (users no rule names all share key 0).
+        let users: Vec<String> = (0..20).map(|i| format!("u{i}")).collect();
+        for u in &users {
+            eng.add_rule(cust(u, ContextPattern::for_user(u.as_str()), "u"))
+                .unwrap();
+        }
 
         // 20 distinct users: the cache must stay bounded at capacity.
-        for i in 0..20 {
-            let ctx = SessionContext::new(format!("u{i}"), "c", "app");
+        for u in &users {
+            let ctx = SessionContext::new(u.as_str(), "c", "app");
             eng.dispatch(get_schema(), &ctx).unwrap();
         }
         let stats = eng.cache_stats();
@@ -2807,56 +2403,15 @@ mod tests {
         let stats = eng.cache_stats();
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.entries, 8);
-    }
 
-    #[test]
-    fn hybrid_threshold_matches_pure_index() {
-        // 24 rules (> default threshold) dispatched under a forced-index
-        // configuration and a forced-scan configuration must agree, and
-        // the winner cache works in both.
-        let build = |threshold: usize| {
-            let mut eng: Engine<String> = Engine::with_config(EngineConfig {
-                hybrid_linear_threshold: threshold,
-                ..Default::default()
-            });
-            for i in 0..12 {
-                eng.add_rule(Rule::customization(
-                    format!("ext{i}"),
-                    EventPattern::External {
-                        name: Some(format!("e{i}")),
-                    },
-                    ContextPattern::any(),
-                    format!("p{i}"),
-                ))
-                .unwrap();
-                eng.add_rule(Rule::customization(
-                    format!("user{i}"),
-                    EventPattern::db(DbEventKind::GetSchema),
-                    ContextPattern::for_user(format!("u{i}")),
-                    format!("q{i}"),
-                ))
-                .unwrap();
-            }
-            eng
-        };
-        let mut indexed = build(0);
-        let mut scanned = build(1000);
-        assert!(indexed.len() > 16);
-
-        for round in 0..2 {
-            for i in 0..12 {
-                let ctx = SessionContext::new(format!("u{i}"), "c", "app");
-                for event in [get_schema(), Event::external(format!("e{i}"))] {
-                    let a = indexed.dispatch(event.clone(), &ctx).unwrap();
-                    let b = scanned.dispatch(event.clone(), &ctx).unwrap();
-                    assert_eq!(a.customizations, b.customizations, "round {round}");
-                    assert_eq!(a.fired_names(), b.fired_names());
-                }
-            }
+        // Users no rule names are indistinguishable to every pattern:
+        // they share one entry — the first misses, the second hits.
+        for stranger in ["x1", "x2"] {
+            let ctx = SessionContext::new(stranger, "c", "app");
+            eng.dispatch(get_schema(), &ctx).unwrap();
         }
-        // Both variants served round 2 from their winner caches.
-        assert!(indexed.cache_stats().hits >= 24);
-        assert!(scanned.cache_stats().hits >= 24);
+        let stats = eng.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (21, 3));
     }
 
     #[test]
@@ -2913,7 +2468,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_linear_agree_on_a_mixed_rule_set() {
+    fn compiled_and_linear_agree_on_a_mixed_rule_set() {
         let build = |strategy: DispatchStrategy| {
             let mut eng: Engine<&str> = Engine::with_config(EngineConfig {
                 strategy,
@@ -2949,7 +2504,7 @@ mod tests {
             .unwrap();
             eng
         };
-        let mut indexed = build(DispatchStrategy::Indexed);
+        let mut compiled = build(DispatchStrategy::Compiled);
         let mut linear = build(DispatchStrategy::Linear);
 
         let events = [
@@ -2965,7 +2520,7 @@ mod tests {
             for ctx in [session(), SessionContext::new("guest", "visitor", "x")] {
                 // Twice per pair so the second round hits the cache.
                 for _ in 0..2 {
-                    let a = indexed.dispatch(event.clone(), &ctx).unwrap();
+                    let a = compiled.dispatch(event.clone(), &ctx).unwrap();
                     let b = linear.dispatch(event.clone(), &ctx).unwrap();
                     assert_eq!(a.customizations, b.customizations);
                     assert_eq!(a.fired_names(), b.fired_names());
@@ -2979,7 +2534,7 @@ mod tests {
                 }
             }
         }
-        assert!(indexed.cache_stats().hits > 0);
+        assert!(compiled.cache_stats().hits > 0);
     }
 
     #[test]
@@ -3010,8 +2565,6 @@ mod tests {
         let mut eng: Engine<&str> = Engine::with_config(EngineConfig {
             strategy,
             tracing,
-            // Force the tiered path even for this small population.
-            hybrid_linear_threshold: 0,
             ..Default::default()
         });
         eng.add_rule(cust("generic", ContextPattern::any(), "generic"))
@@ -3189,8 +2742,16 @@ mod tests {
         // FireAll over the early-exit-free walk still sees every match.
         let out = eng.dispatch(get_schema(), &session()).unwrap();
         assert_eq!(out.customizations.len(), 3);
-        eng.set_strategy(DispatchStrategy::Indexed);
+        assert!(eng.cache_stats().entries > 0);
+        eng.set_strategy(DispatchStrategy::Linear);
         assert_eq!(eng.cache_stats().entries, 0);
+        // The oracle never fills the cache; switching back starts cold.
+        eng.dispatch(get_schema(), &session()).unwrap();
+        assert_eq!(eng.cache_stats().entries, 0);
+        eng.set_strategy(DispatchStrategy::Compiled);
+        let misses = eng.cache_stats().misses;
+        eng.dispatch(get_schema(), &session()).unwrap();
+        assert_eq!(eng.cache_stats().misses, misses + 1);
     }
 
     #[test]
@@ -3217,7 +2778,9 @@ mod tests {
 mod concurrency_tests {
     use super::*;
     use crate::context::ContextPattern;
+    use crate::event::EventPattern;
     use geodb::query::DbEvent;
+    use geodb::query::DbEventKind;
 
     fn get_schema() -> Event {
         Event::Db(DbEvent::GetSchema {
@@ -3388,8 +2951,10 @@ mod concurrency_tests {
 mod coupling_tests {
     use super::*;
     use crate::context::ContextPattern;
+    use crate::event::EventPattern;
     use crate::rule::Coupling;
     use geodb::query::DbEvent;
+    use geodb::query::DbEventKind;
 
     fn insert_event(n: u64) -> Event {
         Event::Db(DbEvent::Insert {

@@ -136,7 +136,7 @@ fn fail_closed_aborts_and_rolls_back_deferred_queue() {
 fn quarantine_trips_after_threshold_and_can_be_cleared() {
     let _g = serialized();
     let cfg = EngineConfig {
-        strategy: DispatchStrategy::Indexed,
+        strategy: DispatchStrategy::Compiled,
         ..Default::default()
     };
     let mut eng: Engine<&str> = Engine::with_config(cfg);
@@ -274,7 +274,7 @@ fn cascade_overflow_leaves_consistent_state() {
     let _g = serialized();
     let build = || {
         let cfg = EngineConfig {
-            strategy: DispatchStrategy::Indexed,
+            strategy: DispatchStrategy::Compiled,
             ..Default::default()
         };
         let mut eng: Engine<&str> = Engine::with_config(cfg);

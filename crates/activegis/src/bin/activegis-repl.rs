@@ -49,7 +49,7 @@ commands:
   :repl policy primary|replica            route reads to primary / first replica
   :repl policy staleness <n>              replica reads within n epochs, else primary
   :repl promote <id> <dir>                fail over: replay <dir>'s WAL tail onto <id>
-  :strategy [indexed|linear|compiled]     show or switch rule dispatch strategy
+  :strategy [compiled|linear]             show or switch rule dispatch strategy
   :cache                                  winner-cache hit/miss/invalidation stats
   :compile                                compile rules now; show tables + latency
   :faults                                 failpoint status (hits / times triggered)
@@ -431,11 +431,6 @@ impl Repl {
                 }
             }
             [":strategy"] => println!("{:?}", self.gis.dispatch_strategy()),
-            [":strategy", "indexed"] => {
-                self.gis
-                    .set_dispatch_strategy(activegis::DispatchStrategy::Indexed);
-                println!("dispatch strategy: Indexed");
-            }
             [":strategy", "linear"] => {
                 self.gis
                     .set_dispatch_strategy(activegis::DispatchStrategy::Linear);

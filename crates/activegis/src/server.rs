@@ -36,7 +36,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use active::{ActiveError, DispatchStrategy, Outcome, RuleBase, SessionContext};
+use active::{ActiveError, Outcome, RuleBase, SessionContext};
 use custlang::Customization;
 use geodb::query::{DbEvent, DbEventKind};
 use geodb::repl::{ReadRouter, ReplicaStatus, ReplicaStore};
@@ -174,15 +174,7 @@ impl SessionServer {
         let mut handles = Vec::with_capacity(workers_n);
         for shard in 0..workers_n {
             let queue = Arc::new(ShardQueue::default());
-            // Shards serve from the compiled dispatch tier: the flat
-            // tables are built once per rule-base generation (shared by
-            // every shard) and kill the interpreted cold path that
-            // dominates once winner-cache hit rates drop. An explicitly
-            // Linear base (the differential oracle) is honored as-is.
-            let mut session = rule_base.session();
-            if session.strategy() != DispatchStrategy::Linear {
-                session.set_strategy(DispatchStrategy::Compiled);
-            }
+            let session = rule_base.session();
             let router = routing.router(&store, shard_replica(&replicas, shard));
             let mut dispatcher = Dispatcher::with_router(
                 store.clone(),
@@ -347,27 +339,24 @@ impl SessionServer {
         rx.recv().expect("shard worker alive")
     }
 
-    /// Install a customization program on every shard's dispatcher.
-    /// Rules land in the shared rule base once per distinct name; the
-    /// per-shard install also primes shard-local compiler state. Returns
-    /// the rule count reported by the first shard.
+    /// Install a customization program for every shard. The rule base
+    /// is shared, so the program is compiled and installed once (on
+    /// shard 0) and then precompiled; every other shard picks up the
+    /// new rule-base epoch at its next dispatch. Returns the number of
+    /// rules installed.
     pub fn install_program(&self, source: &str, prefix: &str) -> Result<usize, UiError> {
-        let mut first: Option<usize> = None;
-        for shard in 0..self.queues.len() {
-            let (tx, rx) = channel();
-            let src = source.to_string();
-            let pfx = prefix.to_string();
-            self.queues[shard].push(Job::Exec(Box::new(move |d| {
-                let _ = tx.send(d.install_program(&src, &pfx));
-            })));
-            let n = rx.recv().expect("shard worker alive")?;
-            first.get_or_insert(n);
-        }
+        let (tx, rx) = channel();
+        let src = source.to_string();
+        let pfx = prefix.to_string();
+        self.queues[0].push(Job::Exec(Box::new(move |d| {
+            let _ = tx.send(d.install_program(&src, &pfx));
+        })));
+        let n = rx.recv().expect("shard worker alive")?;
         // Compile the new rule generation now, off the serving path —
         // the first post-install dispatch on every shard reuses the
         // shared artifact instead of paying the compile itself.
         self.rule_base.precompile();
-        Ok(first.unwrap_or(0))
+        Ok(n)
     }
 }
 
@@ -642,6 +631,30 @@ mod tests {
         assert!(!out.customizations.is_empty());
         let out = server.dispatch(b, event).unwrap();
         assert!(out.customizations.is_empty());
+    }
+
+    #[test]
+    fn install_program_adds_each_rule_once_and_every_shard_serves_it() {
+        let server = server(2);
+        let before = server.rule_base().epoch();
+        let n = server.install_program(FIG6_PROGRAM, "fig6").unwrap();
+        assert!(n > 0);
+        // One rule-base epoch per installed rule: no shard removes and
+        // re-adds the rules another shard just installed.
+        assert_eq!(server.rule_base().epoch(), before + n as u64);
+
+        let event = DbEvent::GetClass {
+            schema: "phone_net".into(),
+            class: "Pole".into(),
+        };
+        let juliano = || SessionContext::new("juliano", "planner", "pole_manager");
+        let a = server.open_session(juliano());
+        let b = server.open_session(juliano());
+        assert_ne!(a.shard, b.shard);
+        for s in [a, b] {
+            let out = server.dispatch(s, event.clone()).unwrap();
+            assert!(!out.customizations.is_empty(), "shard {}", s.shard);
+        }
     }
 
     #[test]

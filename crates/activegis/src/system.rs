@@ -347,13 +347,14 @@ impl ActiveGis {
     }
 
     /// How the rule engine finds matching rules per event: the default
-    /// discrimination index + winner cache, or the linear-scan oracle.
+    /// compiled jump tables + winner cache (the path `SessionServer`
+    /// shards serve with too), or the linear-scan oracle.
     pub fn dispatch_strategy(&mut self) -> active::DispatchStrategy {
         self.dispatcher.engine().strategy()
     }
 
     /// Switch dispatch strategy (e.g. to `Linear` when differential
-    /// testing against the indexed path).
+    /// testing against the compiled path).
     pub fn set_dispatch_strategy(&mut self, strategy: active::DispatchStrategy) {
         self.dispatcher.engine().set_strategy(strategy);
     }
@@ -497,7 +498,7 @@ mod tests {
         use active::DispatchStrategy;
         let mut gis = ActiveGis::phone_net_demo(&TelecomConfig::small()).unwrap();
         gis.customize(FIG6_PROGRAM, "fig6").unwrap();
-        assert_eq!(gis.dispatch_strategy(), DispatchStrategy::Indexed);
+        assert_eq!(gis.dispatch_strategy(), DispatchStrategy::Compiled);
 
         let sid = gis.login("juliano", "planner", "pole_manager");
         gis.browse_schema(sid, "phone_net").unwrap();

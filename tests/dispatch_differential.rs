@@ -1,8 +1,7 @@
-//! Differential testing: the indexed dispatch path (discrimination index
-//! plus winner cache) and the compiled dispatch tier (flat per-epoch
-//! jump tables) must produce exactly the same `Outcome` as the linear
-//! scan they replaced, for random rule sets, session contexts and event
-//! sequences — including after interleaved add/remove/enable mutations,
+//! Differential testing: the compiled dispatch tier (flat per-epoch jump
+//! tables plus the packed winner cache) must produce exactly the same
+//! `Outcome` as the linear-scan oracle, for random rule sets, session
+//! contexts and event sequences — including after interleaved add/remove/enable mutations,
 //! which must invalidate the winner cache and recompile the tables. The
 //! compiled arm runs twice: traces on (full walk, traces compared
 //! entry-for-entry) and traces off (the early-exit winner walk, outcomes
@@ -196,7 +195,6 @@ fn make_rule(name: &str, spec: &RuleSpec, payload: usize) -> Rule<usize> {
 }
 
 struct Harness {
-    indexed: Engine<usize>,
     linear: Engine<usize>,
     /// Compiled tier, traces on: full table walks, compared
     /// entry-for-entry against the oracle's traces.
@@ -210,24 +208,17 @@ struct Harness {
 
 impl Harness {
     fn new() -> Harness {
-        let cfg = |strategy| EngineConfig {
-            strategy,
-            ..Default::default()
-        };
         Harness {
-            indexed: Engine::with_config(cfg(DispatchStrategy::Indexed)),
-            linear: Engine::with_config(cfg(DispatchStrategy::Linear)),
-            // Threshold 0 forces the compiled tables even for the small
-            // populations the generator produces (the hybrid arm would
-            // otherwise scan and never touch them).
+            linear: Engine::with_config(EngineConfig {
+                strategy: DispatchStrategy::Linear,
+                ..Default::default()
+            }),
             compiled: Engine::with_config(EngineConfig {
                 strategy: DispatchStrategy::Compiled,
-                hybrid_linear_threshold: 0,
                 ..Default::default()
             }),
             compiled_fast: Engine::with_config(EngineConfig {
                 strategy: DispatchStrategy::Compiled,
-                hybrid_linear_threshold: 0,
                 tracing: false,
                 ..Default::default()
             }),
@@ -236,9 +227,8 @@ impl Harness {
         }
     }
 
-    fn engines(&mut self) -> [&mut Engine<usize>; 4] {
+    fn engines(&mut self) -> [&mut Engine<usize>; 3] {
         [
-            &mut self.indexed,
             &mut self.linear,
             &mut self.compiled,
             &mut self.compiled_fast,
@@ -255,7 +245,6 @@ impl Harness {
             .collect();
         prop_assert_eq!(&results[0], &results[1]);
         prop_assert_eq!(&results[0], &results[2]);
-        prop_assert_eq!(&results[0], &results[3]);
         if results[0].is_ok() {
             self.names.push(name);
         }
@@ -266,7 +255,6 @@ impl Harness {
     fn dispatch(&mut self, event: &Event, ctx: &SessionContext) -> Result<(), TestCaseError> {
         let oracle = self.linear.dispatch(event.clone(), ctx);
         for (label, result) in [
-            ("indexed", self.indexed.dispatch(event.clone(), ctx)),
             ("compiled", self.compiled.dispatch(event.clone(), ctx)),
             (
                 "compiled_fast",
@@ -310,8 +298,7 @@ impl Harness {
     fn apply(&mut self, op: &Op, sessions: &[SessionContext]) -> Result<(), TestCaseError> {
         match op {
             Op::Dispatch(event, c) => {
-                // Twice: the repeat exercises the winner-cache hit path
-                // (string-keyed on the indexed arm, packed on compiled).
+                // Twice: the repeat exercises the winner-cache hit path.
                 self.dispatch(event, &sessions[*c])?;
                 self.dispatch(event, &sessions[*c])?;
             }
@@ -324,7 +311,6 @@ impl Harness {
                 let results = self.engines().map(|e| e.remove_rule(&name).is_ok());
                 prop_assert_eq!(results[0], results[1]);
                 prop_assert_eq!(results[0], results[2]);
-                prop_assert_eq!(results[0], results[3]);
                 if results[0] {
                     self.names.retain(|n| n != &name);
                 }
@@ -342,13 +328,11 @@ impl Harness {
                     .collect();
                 prop_assert_eq!(&results[0], &results[1]);
                 prop_assert_eq!(&results[0], &results[2]);
-                prop_assert_eq!(&results[0], &results[3]);
             }
             Op::RemovePrefix => {
                 let results = self.engines().map(|e| e.remove_rules_with_prefix("fa/"));
                 prop_assert_eq!(results[0], results[1]);
                 prop_assert_eq!(results[0], results[2]);
-                prop_assert_eq!(results[0], results[3]);
                 self.names.retain(|n| !n.starts_with("fa/"));
             }
         }
@@ -360,7 +344,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn indexed_dispatch_matches_the_linear_oracle(
+    fn compiled_dispatch_matches_the_linear_oracle(
         initial in prop::collection::vec(arb_rule_spec(), 0..12),
         ops in prop::collection::vec(arb_op(), 1..40),
         finale in prop::collection::vec(arb_event(), 1..6),
@@ -381,11 +365,9 @@ proptest! {
             }
         }
         // The engines' rule books stayed in lockstep.
-        prop_assert_eq!(h.indexed.len(), h.linear.len());
         prop_assert_eq!(h.compiled.len(), h.linear.len());
         prop_assert_eq!(h.compiled_fast.len(), h.linear.len());
         for name in &h.names {
-            prop_assert_eq!(h.indexed.rule(name).is_some(), h.linear.rule(name).is_some());
             prop_assert_eq!(h.compiled.rule(name).is_some(), h.linear.rule(name).is_some());
         }
     }
@@ -439,7 +421,6 @@ mod batch {
         fn new() -> Tri {
             let compiled = || EngineConfig {
                 strategy: DispatchStrategy::Compiled,
-                hybrid_linear_threshold: 0,
                 tracing: false,
                 ..Default::default()
             };
@@ -585,7 +566,6 @@ mod batch {
         fn build() -> Engine<usize> {
             let mut e = Engine::with_config(EngineConfig {
                 strategy: DispatchStrategy::Compiled,
-                hybrid_linear_threshold: 0,
                 tracing: false,
                 quarantine_threshold: 2,
                 ..Default::default()
@@ -682,7 +662,6 @@ mod hot_reload {
             let sessions = sessions();
             let compiled = || EngineConfig {
                 strategy: DispatchStrategy::Compiled,
-                hybrid_linear_threshold: 0,
                 ..Default::default()
             };
             // Separate bases: `invalidate_compiled` is base-global, so
@@ -904,10 +883,9 @@ mod threaded {
     }
 
     /// One writer thread adds/removes/toggles rules in the shared base
-    /// while reader threads continuously compare four sessions — pure
-    /// index, hybrid (default threshold), the compiled tier (recompiling
-    /// on every observed snapshot flip) and the linear oracle — over
-    /// bitwise-identical pinned snapshots. Any divergence between the
+    /// while reader threads continuously compare two sessions — the
+    /// compiled tier (recompiling on every observed snapshot flip) and
+    /// the linear oracle — over bitwise-identical pinned snapshots. Any divergence between the
     /// strategies, or any torn snapshot observation, fails the test.
     #[test]
     fn strategies_agree_under_concurrent_mutation() {
@@ -951,66 +929,41 @@ mod threaded {
                 let sessions = sessions.clone();
                 let events = events.clone();
                 std::thread::spawn(move || {
-                    let mut indexed = base.session_with(EngineConfig {
-                        strategy: DispatchStrategy::Indexed,
-                        hybrid_linear_threshold: 0,
-                        ..Default::default()
-                    });
-                    let mut hybrid = base.session_with(EngineConfig {
-                        strategy: DispatchStrategy::Indexed,
-                        ..Default::default()
-                    });
                     let mut linear = base.session_with(EngineConfig {
                         strategy: DispatchStrategy::Linear,
                         ..Default::default()
                     });
                     let mut compiled = base.session_with(EngineConfig {
                         strategy: DispatchStrategy::Compiled,
-                        hybrid_linear_threshold: 0,
                         ..Default::default()
                     });
-                    // Pin the snapshots: each round refreshes the indexed
-                    // session, then clones its exact view into the others
-                    // so all four dispatch over the same rule set no
-                    // matter what the writer publishes meanwhile. The
-                    // compiled session recompiles its tables on every
-                    // snapshot flip it observes.
-                    for handle in [&mut indexed, &mut hybrid, &mut linear, &mut compiled] {
+                    // Pin the snapshots: each round refreshes the linear
+                    // session, then clones its exact view into the
+                    // compiled one so both dispatch over the same rule
+                    // set no matter what the writer publishes meanwhile.
+                    // The compiled session recompiles its tables on
+                    // every snapshot flip it observes.
+                    for handle in [&mut linear, &mut compiled] {
                         handle.set_auto_sync(false);
                     }
                     for round in 0..READER_ROUNDS {
-                        indexed.sync();
-                        hybrid.sync_with(&indexed);
-                        linear.sync_with(&indexed);
-                        compiled.sync_with(&indexed);
+                        linear.sync();
+                        compiled.sync_with(&linear);
                         let ctx = &sessions[(r + round) % sessions.len()];
                         for event in &events {
                             // Twice per handle: the repeat hits each
                             // session's private winner cache.
                             for _ in 0..2 {
-                                let a = indexed.dispatch(event.clone(), ctx);
-                                let b = hybrid.dispatch(event.clone(), ctx);
                                 let c = linear.dispatch(event.clone(), ctx);
                                 let d = compiled.dispatch(event.clone(), ctx);
-                                let (Ok(a), Ok(b), Ok(c), Ok(d)) = (a, b, c, d) else {
+                                let (Ok(c), Ok(d)) = (c, d) else {
                                     panic!("stress dispatch failed on {event:?}");
                                 };
-                                assert_eq!(
-                                    a.customizations, b.customizations,
-                                    "index vs hybrid on {event:?}"
-                                );
-                                assert_eq!(
-                                    a.customizations, c.customizations,
-                                    "index vs linear on {event:?}"
-                                );
                                 assert_eq!(
                                     c.customizations, d.customizations,
                                     "linear vs compiled on {event:?}"
                                 );
-                                assert_eq!(a.fired_names(), b.fired_names());
-                                assert_eq!(a.fired_names(), c.fired_names());
                                 assert_eq!(c.fired_names(), d.fired_names());
-                                assert_eq!(a.trace.entries, c.trace.entries);
                                 assert_eq!(c.trace.entries, d.trace.entries);
                             }
                         }
